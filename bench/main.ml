@@ -1009,6 +1009,9 @@ let micro () =
   let open Bechamel in
   let data64k = Bytes.make 65536 'x' in
   let leaves = Array.init 1024 (fun i -> Bytes.of_string (Printf.sprintf "leaf%d" i)) in
+  (* Just past a power of two: 40,000 leaves pad to 65,536, so this
+     shows what the padding costs (or, with padding skipped, saves). *)
+  let leaves40k = Array.init 40_000 (fun i -> Bytes.of_string (Printf.sprintf "leaf%d" i)) in
   let rng = Zkflow_util.Rng.create 9L in
   let coeffs = Array.init 4096 (fun _ -> Zkflow_field.Babybear.random rng) in
   let zkvm_guest =
@@ -1031,6 +1034,8 @@ let micro () =
           ignore (Zkflow_hash.Sha256.digest data64k)));
       Test.make ~name:"merkle-1024-leaves" (Staged.stage (fun () ->
           ignore (Zkflow_merkle.Tree.of_leaves leaves)));
+      Test.make ~name:"merkle-40000-leaves" (Staged.stage (fun () ->
+          ignore (Zkflow_merkle.Tree.of_leaves leaves40k)));
       Test.make ~name:"ntt-4096" (Staged.stage (fun () ->
           ignore (Zkflow_field.Ntt.forward coeffs)));
       Test.make ~name:"zkvm-60k-cycles" (Staged.stage (fun () ->

@@ -37,7 +37,7 @@ type t = {
 }
 
 let scratch_tree entries =
-  Tree.of_leaves (Zkflow_parallel.Pool.map_array ~min_chunk:2048 entry_bytes entries)
+  Tree.of_leaf_fn (Array.length entries) (fun i -> entry_bytes entries.(i))
 
 let build entries =
   let index = Hashtbl.create (max 16 (Array.length entries)) in

@@ -4,6 +4,10 @@ let of_bytes b =
   if Bytes.length b <> 32 then invalid_arg "Digest32.of_bytes: need 32 bytes";
   Bytes.copy b
 
+let of_sub b off =
+  if off < 0 || off + 32 > Bytes.length b then invalid_arg "Digest32.of_sub: out of bounds";
+  Bytes.sub b off 32
+
 let to_bytes d = Bytes.copy d
 let unsafe_to_bytes d = d
 

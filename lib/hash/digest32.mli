@@ -9,6 +9,10 @@ val of_bytes : bytes -> t
 (** [of_bytes b] wraps [b]. Raises [Invalid_argument] unless
     [Bytes.length b = 32]. The bytes are copied. *)
 
+val of_sub : bytes -> int -> t
+(** [of_sub b off] is a copy of the 32 bytes of [b] at [off], in one
+    copy. Raises [Invalid_argument] when they do not fit. *)
+
 val to_bytes : t -> bytes
 (** [to_bytes d] is a fresh copy of the raw digest bytes. *)
 

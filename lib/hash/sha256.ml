@@ -34,9 +34,12 @@ type ctx = {
   w : int32 array;            (* 64-word message schedule, reused *)
 }
 
+let iv32 =
+  [| 0x6a09e667l; 0xbb67ae85l; 0x3c6ef372l; 0xa54ff53al;
+     0x510e527fl; 0x9b05688cl; 0x1f83d9abl; 0x5be0cd19l |]
+
 let init () = {
-  h = [| 0x6a09e667l; 0xbb67ae85l; 0x3c6ef372l; 0xa54ff53al;
-         0x510e527fl; 0x9b05688cl; 0x1f83d9abl; 0x5be0cd19l |];
+  h = Array.copy iv32;
   block = Bytes.create 64;
   fill = 0;
   total = 0L;
@@ -45,23 +48,16 @@ let init () = {
 }
 
 let reset ctx =
-  ctx.h.(0) <- 0x6a09e667l;
-  ctx.h.(1) <- 0xbb67ae85l;
-  ctx.h.(2) <- 0x3c6ef372l;
-  ctx.h.(3) <- 0xa54ff53al;
-  ctx.h.(4) <- 0x510e527fl;
-  ctx.h.(5) <- 0x9b05688cl;
-  ctx.h.(6) <- 0x1f83d9abl;
-  ctx.h.(7) <- 0x5be0cd19l;
+  Array.blit iv32 0 ctx.h 0 8;
   ctx.fill <- 0;
   ctx.total <- 0L;
   ctx.finalized <- false
 
 let rotr x n = Int32.logor (Int32.shift_right_logical x n) (Int32.shift_left x (32 - n))
 
-let compress ctx src pos =
-  Zkflow_obs.Metric.add m_compressions 1;
-  let w = ctx.w in
+(* Message schedule: load the 16 big-endian words of the block at
+   [pos], then expand to 64. *)
+let expand w src pos =
   for i = 0 to 15 do
     w.(i) <- Bytes.get_int32_be src (pos + (4 * i))
   done;
@@ -74,8 +70,10 @@ let compress ctx src pos =
         (Int32.logxor (rotr w.(i - 2) 19) (Int32.shift_right_logical w.(i - 2) 10))
     in
     w.(i) <- Int32.add (Int32.add w.(i - 16) s0) (Int32.add w.(i - 7) s1)
-  done;
-  let h = ctx.h in
+  done
+
+(* The 64 rounds over an expanded schedule, folded into [h]. *)
+let rounds h w =
   let a = ref h.(0) and b = ref h.(1) and c = ref h.(2) and d = ref h.(3) in
   let e = ref h.(4) and f = ref h.(5) and g = ref h.(6) and hh = ref h.(7) in
   for i = 0 to 63 do
@@ -105,6 +103,11 @@ let compress ctx src pos =
   h.(5) <- Int32.add h.(5) !f;
   h.(6) <- Int32.add h.(6) !g;
   h.(7) <- Int32.add h.(7) !hh
+
+let compress ctx src pos =
+  Zkflow_obs.Metric.add m_compressions 1;
+  expand ctx.w src pos;
+  rounds ctx.h ctx.w
 
 let check_live ctx =
   if ctx.finalized then invalid_arg "Sha256: context already finalized"
@@ -140,24 +143,32 @@ let update_sub ctx b ~pos ~len =
 let update ctx b = update_sub ctx b ~pos:0 ~len:(Bytes.length b)
 let update_string ctx s = update ctx (Bytes.unsafe_of_string s)
 
-let finalize ctx =
+(* Padding: 0x80, zeros to 56 mod 64, then the 64-bit big-endian bit
+   length — written into [ctx.block] itself, so finishing a hash
+   allocates nothing. *)
+let finalize_into ctx dst off =
   check_live ctx;
-  let bitlen = Int64.mul ctx.total 8L in
-  (* Padding: 0x80, zeros to 56 mod 64, then 64-bit big-endian length. *)
-  let pad_len =
-    let rem = (ctx.fill + 1) mod 64 in
-    1 + (if rem <= 56 then 56 - rem else 120 - rem)
-  in
-  let pad = Bytes.make pad_len '\000' in
-  Bytes.set pad 0 '\x80';
-  update ctx pad;
-  let len_block = Bytes.create 8 in
-  Bytes.set_int64_be len_block 0 bitlen;
-  update ctx len_block;
-  assert (ctx.fill = 0);
+  if off < 0 || off + 32 > Bytes.length dst then
+    invalid_arg "Sha256.finalize_into: out of bounds";
+  let blk = ctx.block and fill = ctx.fill in
+  Bytes.set blk fill '\x80';
+  if fill >= 56 then begin
+    Bytes.fill blk (fill + 1) (63 - fill) '\000';
+    compress ctx blk 0;
+    Bytes.fill blk 0 56 '\000'
+  end
+  else Bytes.fill blk (fill + 1) (55 - fill) '\000';
+  Bytes.set_int64_be blk 56 (Int64.mul ctx.total 8L);
+  compress ctx blk 0;
+  ctx.fill <- 0;
   ctx.finalized <- true;
+  for i = 0 to 7 do
+    Bytes.set_int32_be dst (off + (4 * i)) ctx.h.(i)
+  done
+
+let finalize ctx =
   let out = Bytes.create 32 in
-  Array.iteri (fun i w -> Bytes.set_int32_be out (4 * i) w) ctx.h;
+  finalize_into ctx out 0;
   out
 
 let digest b =
@@ -177,11 +188,37 @@ let digest_concat parts =
   List.iter (update ctx) parts;
   finalize ctx
 
-let iv =
-  [| 0x6a09e667; 0xbb67ae85; 0x3c6ef372; 0xa54ff53a;
-     0x510e527f; 0x9b05688c; 0x1f83d9ab; 0x5be0cd19 |]
+(* A 64-byte message is one data block plus a padding block that never
+   changes (0x80, zeros, bit length 512), so its schedule is expanded
+   once and every pair hash runs the rounds over it directly. *)
+let pad64_schedule =
+  let blk = Bytes.make 64 '\000' in
+  Bytes.set blk 0 '\x80';
+  Bytes.set_int64_be blk 56 512L;
+  let w = Array.make 64 0l in
+  expand w blk 0;
+  w
+
+let hash_pairs src ~src_off dst ~dst_off n =
+  if n < 0 || src_off < 0 || dst_off < 0
+     || src_off + (64 * n) > Bytes.length src
+     || dst_off + (32 * n) > Bytes.length dst
+  then invalid_arg "Sha256.hash_pairs: out of bounds";
+  let h = Array.make 8 0l and w = Array.make 64 0l in
+  for i = 0 to n - 1 do
+    Array.blit iv32 0 h 0 8;
+    expand w src (src_off + (64 * i));
+    rounds h w;
+    rounds h pad64_schedule;
+    let o = dst_off + (32 * i) in
+    for j = 0 to 7 do
+      Bytes.set_int32_be dst (o + (4 * j)) h.(j)
+    done
+  done;
+  Zkflow_obs.Metric.add m_compressions (2 * n)
 
 let mask32 = 0xffffffff
+let iv = Array.map (fun w -> Int32.to_int w land mask32) iv32
 
 let compress_words state block =
   if Array.length state <> 8 then invalid_arg "Sha256.compress_words: state";

@@ -29,6 +29,12 @@ val finalize : ctx -> bytes
 (** [finalize ctx] pads, produces the 32-byte digest and invalidates
     [ctx]: further [update]/[finalize] calls raise [Invalid_argument]. *)
 
+val finalize_into : ctx -> bytes -> int -> unit
+(** [finalize_into ctx dst off] is {!finalize} writing the digest to
+    [dst.[off .. off+31]] instead of a fresh buffer; the padding is
+    built in the context's own block, so nothing is allocated. Raises
+    [Invalid_argument] when the 32 bytes do not fit in [dst]. *)
+
 val digest : bytes -> bytes
 (** [digest b] is the one-shot 32-byte SHA-256 of [b]. *)
 
@@ -41,6 +47,15 @@ val digest_sub : bytes -> pos:int -> len:int -> bytes
 val digest_concat : bytes list -> bytes
 (** [digest_concat parts] hashes the concatenation of [parts] without
     materialising it. *)
+
+val hash_pairs : bytes -> src_off:int -> bytes -> dst_off:int -> int -> unit
+(** [hash_pairs src ~src_off dst ~dst_off n] writes, for each
+    [i < n], the SHA-256 of the 64 bytes at [src_off + 64i] to the 32
+    bytes at [dst_off + 32i] — the Merkle parent rule over [n]
+    consecutive child pairs, hashed in place. The constant padding
+    block's schedule is shared, and nothing is allocated per pair. The
+    two ranges must not overlap. Raises [Invalid_argument] when either
+    range is out of bounds or [n < 0]. *)
 
 val iv : int array
 (** The initial 8-word chaining state, as non-negative 32-bit ints. *)

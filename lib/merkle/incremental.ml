@@ -45,17 +45,6 @@ let level_offsets padded depth =
   done;
   level_off
 
-(* empty_sub.(l): root of a height-l subtree whose leaves are all the
-   padding digest — what the right half of every level holds after a
-   growth doubling. *)
-let empty_sub =
-  lazy
-    (let a = Array.make 63 Tree.empty_leaf in
-     for l = 1 to 62 do
-       a.(l) <- D.combine a.(l - 1) a.(l - 1)
-     done;
-     a)
-
 let of_tree tree =
   let size = Tree.size tree in
   let padded = Tree.next_pow2 size in
@@ -82,7 +71,7 @@ let ensure_owned t =
   end
 
 let set_slot t slot d = Bytes.blit (D.unsafe_to_bytes d) 0 t.buf (32 * slot) 32
-let read_slot t slot = D.of_bytes (Bytes.sub t.buf (32 * slot) 32)
+let read_slot t slot = D.of_sub t.buf (32 * slot)
 
 let set_leaf t i d =
   if i < 0 || i >= t.size then invalid_arg "Incremental.set_leaf: index out of range";
@@ -94,8 +83,9 @@ let set_leaf t i d =
 
 (* Double the padded width: each old level becomes the left half of
    the corresponding new level, the right halves are the precomputed
-   empty-subtree defaults, and the new root slot combines the two —
-   every slot stays coherent even before the next flush. The append
+   empty-subtree defaults ([Tree.empty_root]), and the new root slot
+   combines the two — every slot stays coherent even before the next
+   flush. The append
    that triggered the growth lands in the right half, so its dirty
    path re-hashes the new top as a matter of course. *)
 let grow t =
@@ -103,18 +93,17 @@ let grow t =
   let depth' = t.depth + 1 in
   let off' = level_offsets padded' depth' in
   let buf' = Bytes.create (32 * ((2 * padded') - 1)) in
-  let defaults = Lazy.force empty_sub in
   for level = 0 to t.depth do
     let w = t.padded lsr level in
     Bytes.blit t.buf (32 * t.level_off.(level)) buf' (32 * off'.(level)) (32 * w);
-    let d = D.unsafe_to_bytes defaults.(level) in
+    let d = D.unsafe_to_bytes (Tree.empty_root level) in
     for j = w to (2 * w) - 1 do
       Bytes.blit d 0 buf' (32 * (off'.(level) + j)) 32
     done
   done;
   let old_root = read_slot t t.level_off.(t.depth) in
   Bytes.blit
-    (D.unsafe_to_bytes (D.combine old_root defaults.(t.depth)))
+    (D.unsafe_to_bytes (D.combine old_root (Tree.empty_root t.depth)))
     0 buf'
     (32 * off'.(depth'))
     32;
@@ -167,12 +156,10 @@ let flush t =
       let parents = if !np = m then parents else Array.sub parents 0 !np in
       let src = t.level_off.(level) and dst = t.level_off.(level + 1) in
       Pool.parallel_for ~min_chunk:1024 !np (fun lo hi ->
-          let ctx = Zkflow_hash.Sha256.init () in
           for j = lo to hi - 1 do
             let p = parents.(j) in
-            Zkflow_hash.Sha256.reset ctx;
-            Zkflow_hash.Sha256.update_sub ctx buf ~pos:(32 * (src + (2 * p))) ~len:64;
-            Bytes.blit (Zkflow_hash.Sha256.finalize ctx) 0 buf (32 * (dst + p)) 32
+            Zkflow_hash.Sha256.hash_pairs buf ~src_off:(32 * (src + (2 * p))) buf
+              ~dst_off:(32 * (dst + p)) 1
           done;
           Obs.Metric.add m_nodes (hi - lo));
       rehashed := !rehashed + !np;

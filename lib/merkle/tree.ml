@@ -1,4 +1,5 @@
 module D = Zkflow_hash.Digest32
+module Sha256 = Zkflow_hash.Sha256
 module Pool = Zkflow_parallel.Pool
 module Obs = Zkflow_obs
 
@@ -20,9 +21,27 @@ type t = {
 let leaf_domain = Bytes.of_string "zkflow.lf.v1"
 
 let leaf_hash data =
-  D.of_bytes (Zkflow_hash.Sha256.digest_concat [ leaf_domain; data ])
+  D.of_bytes (Sha256.digest_concat [ leaf_domain; data ])
 
 let empty_leaf = D.hash_string "zkflow.empty-leaf"
+
+(* empty_roots.(l): root of a height-l subtree whose leaves are all the
+   padding digest. Such a subtree hashes to exactly this value, so a
+   build copies it instead of hashing, and [Incremental] uses it for
+   the new right half when it doubles. Built eagerly because pool
+   workers read it, and a lazy value must not be forced from two
+   domains at once. *)
+let empty_roots =
+  let a = Array.make 63 empty_leaf in
+  for l = 1 to 62 do
+    a.(l) <- D.combine a.(l - 1) a.(l - 1)
+  done;
+  a
+
+let empty_root level =
+  if level < 0 || level >= Array.length empty_roots then
+    invalid_arg "Tree.empty_root: level out of range";
+  empty_roots.(level)
 
 let next_pow2 n =
   if n > max_int / 2 then
@@ -45,68 +64,84 @@ let level_offsets padded depth =
   done;
   level_off
 
-(* Hash parent slots [lo, hi) of one level: read 64 child bytes at
-   [src], write 32 parent bytes at [dst]. Each chunk owns a mutable
-   SHA-256 ctx and reuses it across its hashes — contexts must never
-   be shared between workers. *)
-let hash_range buf ~src ~dst lo hi =
-  let ctx = Zkflow_hash.Sha256.init () in
+let fill_slots buf ~off ~lo ~hi d =
+  let d = D.unsafe_to_bytes d in
   for i = lo to hi - 1 do
-    Zkflow_hash.Sha256.reset ctx;
-    Zkflow_hash.Sha256.update_sub ctx buf ~pos:(32 * (src + (2 * i))) ~len:64;
-    let h = Zkflow_hash.Sha256.finalize ctx in
-    Bytes.blit h 0 buf (32 * (dst + i)) 32
-  done;
-  Obs.Metric.add m_nodes (hi - lo)
-
-(* Workers write disjoint 32-byte parent slots, so a level can be
-   hashed in parallel chunks. Small top levels fall under the chunk
-   floor and run sequentially through the same code path. *)
-let build_levels buf level_off depth =
-  (* Parents hash the 64 contiguous bytes of their two children. *)
-  for level = 0 to depth - 1 do
-    let src = level_off.(level) and dst = level_off.(level + 1) in
-    let width = level_off.(level + 1) - level_off.(level) in
-    Pool.parallel_for ~min_chunk:1024 (width / 2) (hash_range buf ~src ~dst)
+    Bytes.blit d 0 buf (32 * (off + i)) 32
   done
 
-let of_leaf_hashes hs =
+(* With [real] leaves at level 0, a level holds [real] non-padding
+   slots and its parent level ceil(real/2); only those parents are
+   hashed, each from the 64 contiguous bytes of its two children. The
+   rest of every level is all-padding and takes its default. Workers
+   write disjoint parent slots, so a level is hashed in parallel
+   chunks; small top levels fall under the chunk floor and run
+   sequentially through the same code path. *)
+let build_levels t =
+  let buf = t.buf and level_off = t.level_off in
+  let width level = 1 lsl (t.depth - level) in
+  fill_slots buf ~off:0 ~lo:t.size ~hi:(width 0) empty_leaf;
+  let real = ref t.size in
+  for level = 0 to t.depth - 1 do
+    let src = level_off.(level) and dst = level_off.(level + 1) in
+    let parents = (!real + 1) / 2 in
+    Pool.parallel_for ~min_chunk:1024 parents (fun lo hi ->
+        Sha256.hash_pairs buf ~src_off:(32 * (src + (2 * lo))) buf
+          ~dst_off:(32 * (dst + lo)) (hi - lo);
+        Obs.Metric.add m_nodes (hi - lo));
+    fill_slots buf ~off:dst ~lo:parents ~hi:(width (level + 1)) empty_roots.(level + 1);
+    real := parents
+  done
+
+(* Allocate a tree over [n] leaves, let [fill] write the [n] real leaf
+   slots, then build every level above them. *)
+let build n fill =
   let t0 = Obs.Span.start () in
-  let n = Array.length hs in
   let padded = next_pow2 n in
   let depth = log2 padded in
-  let level_off = level_offsets padded depth in
-  let buf = Bytes.create (32 * ((2 * padded) - 1)) in
-  for i = 0 to padded - 1 do
-    let d = if i < n then hs.(i) else empty_leaf in
-    Bytes.blit (D.unsafe_to_bytes d) 0 buf (32 * i) 32
-  done;
-  build_levels buf level_off depth;
+  let t =
+    {
+      buf = Bytes.create (32 * ((2 * padded) - 1));
+      level_off = level_offsets padded depth;
+      size = n;
+      depth;
+    }
+  in
+  fill t.buf;
+  build_levels t;
   if t0 <> 0 then Obs.Span.finish "merkle.build" ~args:[ ("leaves", n) ] t0;
-  { buf; level_off; size = n; depth }
+  t
 
-let hash_leaves data =
-  let n = Array.length data in
-  if n = 0 then [||]
-  else begin
-    let hs = Array.make n empty_leaf in
-    (* Same bytes as [leaf_hash]: domain tag then payload, one reused
-       ctx per chunk. *)
-    Pool.parallel_for ~min_chunk:512 n (fun lo hi ->
-        let ctx = Zkflow_hash.Sha256.init () in
-        for i = lo to hi - 1 do
-          Zkflow_hash.Sha256.reset ctx;
-          Zkflow_hash.Sha256.update ctx leaf_domain;
-          Zkflow_hash.Sha256.update ctx data.(i);
-          hs.(i) <- D.of_bytes (Zkflow_hash.Sha256.finalize ctx)
-        done;
-        Obs.Metric.add m_nodes (hi - lo));
-    hs
-  end
+let of_leaf_hashes hs =
+  build (Array.length hs) (fun buf ->
+      Array.iteri (fun i d -> Bytes.blit (D.unsafe_to_bytes d) 0 buf (32 * i) 32) hs)
 
-let of_leaves data = of_leaf_hashes (hash_leaves data)
+(* Same bytes as [leaf_hash]: domain tag then payload, hashed straight
+   into the leaf slot with one reused ctx per chunk. *)
+let of_leaf_fn n f =
+  if n < 0 then invalid_arg "Tree.of_leaf_fn: negative leaf count";
+  build n (fun buf ->
+      Pool.parallel_for ~min_chunk:512 n (fun lo hi ->
+          let ctx = Sha256.init () in
+          for i = lo to hi - 1 do
+            Sha256.reset ctx;
+            Sha256.update ctx leaf_domain;
+            Sha256.update ctx (f i);
+            Sha256.finalize_into ctx buf (32 * i)
+          done;
+          Obs.Metric.add m_nodes (hi - lo)))
 
-let read_slot t slot = D.of_bytes (Bytes.sub t.buf (32 * slot) 32)
+let of_leaves data = of_leaf_fn (Array.length data) (Array.get data)
+
+let permute t perm =
+  build (Array.length perm) (fun buf ->
+      Array.iteri
+        (fun j i ->
+          if i < 0 || i >= t.size then invalid_arg "Tree.permute: index out of range";
+          Bytes.blit t.buf (32 * i) buf (32 * j) 32)
+        perm)
+
+let read_slot t slot = D.of_sub t.buf (32 * slot)
 let root t = read_slot t t.level_off.(t.depth)
 let size t = t.size
 let depth t = t.depth
@@ -121,15 +156,31 @@ let leaf t i =
   if i < 0 || i >= t.size then invalid_arg "Tree.leaf: index out of range";
   read_slot t i
 
-let prove t i =
+let path t sibling i =
   if i < 0 || i >= max 1 t.size then invalid_arg "Tree.prove: index out of range";
   let siblings = Array.make t.depth empty_leaf in
   let idx = ref i in
   for level = 0 to t.depth - 1 do
-    siblings.(level) <- read_slot t (t.level_off.(level) + (!idx lxor 1));
+    siblings.(level) <- sibling (t.level_off.(level) + (!idx lxor 1));
     idx := !idx lsr 1
   done;
   { Proof.index = i; siblings }
+
+let prove t i = path t (read_slot t) i
+
+(* The cache lives in the closure, never in [t]: trees are shared
+   across domains and must stay immutable. *)
+let prover t =
+  let seen = Hashtbl.create 64 in
+  let sibling slot =
+    match Hashtbl.find_opt seen slot with
+    | Some d -> d
+    | None ->
+      let d = read_slot t slot in
+      Hashtbl.add seen slot d;
+      d
+  in
+  path t sibling
 
 (* ---- node snapshots ----
 
@@ -165,35 +216,3 @@ let of_snapshot b =
       if Bytes.length b - off <> expect then Error "tree snapshot: length mismatch"
       else Ok (unsafe_of_buffer ~size (Bytes.sub b off expect))
     end
-
-let root_of_leaf_hashes hs =
-  let t0 = Obs.Span.start () in
-  let n = Array.length hs in
-  let padded = next_pow2 n in
-  let buf = Bytes.create (32 * padded) in
-  for i = 0 to padded - 1 do
-    let d = if i < n then hs.(i) else empty_leaf in
-    Bytes.blit (D.unsafe_to_bytes d) 0 buf (32 * i) 32
-  done;
-  (* Ping-pong between two buffers: in-place halving would let one
-     chunk overwrite parent slots another chunk still reads as
-     children. The hash inputs are identical either way. *)
-  let src = ref buf and dst = ref (Bytes.create (32 * (padded / 2))) in
-  let width = ref padded in
-  while !width > 1 do
-    let s = !src and d = !dst in
-    Pool.parallel_for ~min_chunk:1024 (!width / 2) (fun lo hi ->
-        let ctx = Zkflow_hash.Sha256.init () in
-        for i = lo to hi - 1 do
-          Zkflow_hash.Sha256.reset ctx;
-          Zkflow_hash.Sha256.update_sub ctx s ~pos:(64 * i) ~len:64;
-          let h = Zkflow_hash.Sha256.finalize ctx in
-          Bytes.blit h 0 d (32 * i) 32
-        done;
-        Obs.Metric.add m_nodes (hi - lo));
-    src := d;
-    dst := s;
-    width := !width / 2
-  done;
-  if t0 <> 0 then Obs.Span.finish "merkle.root" ~args:[ ("leaves", n) ] t0;
-  D.of_bytes (Bytes.sub !src 0 32)

@@ -2,7 +2,10 @@
 
     The tree over [n] leaves is padded to the next power of two with a
     distinguished empty-leaf digest, so roots are well-defined for any
-    [n ≥ 0]. Leaves are hashed with a leaf-domain tag before entering
+    [n ≥ 0]. A build hashes only the nodes with at least one real leaf
+    beneath them; every all-padding subtree takes its precomputed
+    default ({!empty_root}), which is exactly what hashing it would
+    give. Leaves are hashed with a leaf-domain tag before entering
     the tree, preventing leaf/node confusion attacks. This is the
     authenticated structure over CLog entries from Section 4.1 of the
     paper. *)
@@ -23,15 +26,27 @@ val empty_leaf : Zkflow_hash.Digest32.t
 val of_leaves : bytes array -> t
 (** [of_leaves data] builds the tree over [Array.map leaf_hash data]. *)
 
-val hash_leaves : bytes array -> Zkflow_hash.Digest32.t array
-(** [hash_leaves data] is [Array.map leaf_hash data], hashed in
-    parallel chunks — the leaf-hashing half of {!of_leaves}, exposed so
-    callers that commit to a permutation of the same leaves can reuse
-    the digests instead of re-hashing. *)
+val of_leaf_fn : int -> (int -> bytes) -> t
+(** [of_leaf_fn n f] is [of_leaves (Array.init n f)] without the array:
+    each leaf is hashed straight into its slot and not kept. [f] is
+    called once per index, possibly from several domains at once, so it
+    must be safe to call concurrently. Raises [Invalid_argument] when
+    [n < 0]. *)
 
 val of_leaf_hashes : Zkflow_hash.Digest32.t array -> t
 (** Builds the tree over already-hashed leaves (e.g. recomputed inside
     the zkVM guest). *)
+
+val permute : t -> int array -> t
+(** [permute t perm] is the tree whose leaf [j] is leaf [perm.(j)] of
+    [t] — a commitment to a reordering of the same leaves, built from
+    [t]'s leaf slots without re-hashing them. Raises
+    [Invalid_argument] when an index is out of range. *)
+
+val empty_root : int -> Zkflow_hash.Digest32.t
+(** [empty_root l] is the root of a height-[l] subtree whose leaves
+    are all {!empty_leaf} ([empty_root 0 = empty_leaf]), for
+    [0 ≤ l ≤ 62]. Raises [Invalid_argument] otherwise. *)
 
 val root : t -> Zkflow_hash.Digest32.t
 (** The Merkle root; the root of the empty tree is
@@ -50,14 +65,17 @@ val leaf : t -> int -> Zkflow_hash.Digest32.t
 val prove : t -> int -> Proof.t
 (** [prove t i] is the inclusion proof for leaf [i]. *)
 
+val prover : t -> int -> Proof.t
+(** [prover t] is {!prove} [t] with a private cache of sibling digests:
+    proofs it returns share one [Digest32.t] per tree node, so the
+    common path levels of many openings of one tree are stored once.
+    The cache lives in the returned function, not in [t]; use one per
+    proof being assembled. *)
+
 val node : t -> level:int -> int -> Zkflow_hash.Digest32.t
 (** [node t ~level i] is the digest at position [i] of the given level
     of the padded tree (level 0 = leaves, level [depth t] = root).
     Raises [Invalid_argument] when out of range. *)
-
-val root_of_leaf_hashes : Zkflow_hash.Digest32.t array -> Zkflow_hash.Digest32.t
-(** [root_of_leaf_hashes hs] computes only the root, without retaining
-    the tree. Matches [root (of_leaf_hashes hs)]. *)
 
 val to_snapshot : t -> bytes
 (** Serialize every node of the tree (leaf count plus the flat level

@@ -6,8 +6,12 @@ module D = Zkflow_hash.Digest32
 module Fp2 = Zkflow_field.Fp2
 module Obs = Zkflow_obs
 
-let open_at tree leaves i =
-  { Receipt.index = i; leaf = leaves.(i); path = Tree.prove tree i }
+(* An opening function per tree for one proof: leaves are re-encoded
+   at the few opened indices instead of being kept for the whole round,
+   and [Tree.prover] shares sibling digests across the openings. *)
+let opener tree leaf =
+  let prove = Tree.prover tree in
+  fun i -> { Receipt.index = i; leaf = leaf i; path = prove i }
 
 (* Phase-1 commitments depend only on the guest image and the traced
    run, not on the proof parameters or the Fiat–Shamir transcript — so
@@ -20,14 +24,11 @@ type commit_memo = {
   memo_image : D.t;
   memo_rows : Trace.row array;
   memo_memlog : Trace.mem_entry array;
-  row_leaves : bytes array;
   rows_tree : Tree.t;
-  time_leaves : bytes array;
   time_tree : Tree.t;
   sorted_log : Trace.mem_entry array;
-  sorted_leaves : bytes array;
   sorted_tree : Tree.t;
-  jacc_leaves : bytes array;
+  jacc_heads : bytes; (* journal-chain head after each row, 32-byte stride *)
   jacc_tree : Tree.t;
 }
 
@@ -37,41 +38,37 @@ let m_hits = Obs.Metric.counter "zkproof.commit_cache.hits"
 let m_misses = Obs.Metric.counter "zkproof.commit_cache.misses"
 let m_leaf_reused = Obs.Metric.counter "zkproof.leaf_hashes_reused"
 
+let jacc_leaf heads i = Bytes.sub heads (32 * i) 32
+
 let build_commit_memo program (claim : Receipt.claim) rows memlog =
-  let map_leaves f a = Zkflow_parallel.Pool.map_array ~min_chunk:2048 f a in
-  let row_leaves = map_leaves Trace.encode_row rows in
-  let rows_tree = Tree.of_leaves row_leaves in
-  let time_leaves = map_leaves Trace.encode_mem memlog in
-  let time_hashes = Tree.hash_leaves time_leaves in
-  let time_tree = Tree.of_leaf_hashes time_hashes in
-  (* The sorted log is a permutation of the time-ordered one, so its
-     leaf bytes and leaf hashes are the permuted time-ordered arrays —
-     no second encode or hash pass over the access log. *)
-  let sorted_log, perm = Memcheck.sort_with_perm memlog in
-  let sorted_leaves = Array.map (fun i -> time_leaves.(i)) perm in
-  let sorted_tree = Tree.of_leaf_hashes (Array.map (fun i -> time_hashes.(i)) perm) in
-  Obs.Metric.add m_leaf_reused (Array.length perm);
-  let jacc_chain = ref Zkflow_hash.Chain.genesis in
-  let jacc_leaves =
-    Array.map
-      (fun row ->
-        jacc_chain := Checker.jacc_step ~program !jacc_chain row;
-        D.to_bytes (Zkflow_hash.Chain.head !jacc_chain))
-      rows
+  let n_rows = Array.length rows in
+  let rows_tree = Tree.of_leaf_fn n_rows (fun i -> Trace.encode_row rows.(i)) in
+  let time_tree =
+    Tree.of_leaf_fn (Array.length memlog) (fun i -> Trace.encode_mem memlog.(i))
   in
-  let jacc_tree = Tree.of_leaves jacc_leaves in
+  (* The sorted log is a permutation of the time-ordered one, so its
+     leaf hashes are the time tree's leaf slots, permuted — no second
+     encode or hash pass over the access log. *)
+  let sorted_log, perm = Memcheck.sort_with_perm memlog in
+  let sorted_tree = Tree.permute time_tree perm in
+  Obs.Metric.add m_leaf_reused (Array.length perm);
+  let jacc_heads = Bytes.create (32 * n_rows) in
+  let chain = ref Zkflow_hash.Chain.genesis in
+  Array.iteri
+    (fun i row ->
+      chain := Checker.jacc_step ~program !chain row;
+      Bytes.blit (D.unsafe_to_bytes (Zkflow_hash.Chain.head !chain)) 0 jacc_heads (32 * i) 32)
+    rows;
+  let jacc_tree = Tree.of_leaf_fn n_rows (jacc_leaf jacc_heads) in
   {
     memo_image = claim.Receipt.image_id;
     memo_rows = rows;
     memo_memlog = memlog;
-    row_leaves;
     rows_tree;
-    time_leaves;
     time_tree;
     sorted_log;
-    sorted_leaves;
     sorted_tree;
-    jacc_leaves;
+    jacc_heads;
     jacc_tree;
   }
 
@@ -106,22 +103,14 @@ let prove_result ?(params = Params.default) program (run : Machine.result) =
         (m, 1)
       | _ ->
         Obs.Metric.add m_misses 1;
+        (* Drop the previous round's trees before building this one's,
+           so two memos are never reachable at once. *)
+        clear_commit_cache ();
         let m = build_commit_memo program claim rows memlog in
         Atomic.set commit_cache (Some m);
         (m, 0)
     in
-    let {
-      row_leaves;
-      rows_tree;
-      time_leaves;
-      time_tree;
-      sorted_log;
-      sorted_leaves;
-      sorted_tree;
-      jacc_leaves;
-      jacc_tree;
-      _;
-    } =
+    let { rows_tree; time_tree; sorted_log; sorted_tree; jacc_heads; jacc_tree; _ } =
       memo
     in
     if t_commit <> 0 then
@@ -129,17 +118,13 @@ let prove_result ?(params = Params.default) program (run : Machine.result) =
         ~args:[ ("rows", n_rows); ("mem", n_mem); ("cached", cached) ]
         t_commit;
     (* Phase 2 (inside the transcript callback so ordering is right). *)
-    let z_time_tree = ref None and z_sorted_tree = ref None in
-    let z_time_leaves = ref [||] and z_sorted_leaves = ref [||] in
+    let z_commit = ref None in
     let commit_z ~alpha ~beta =
       let zt = Memcheck.products ~alpha ~beta memlog in
       let zs = Memcheck.products ~alpha ~beta sorted_log in
-      z_time_leaves := Array.map Memcheck.encode_fp2 zt;
-      z_sorted_leaves := Array.map Memcheck.encode_fp2 zs;
-      let tt = Tree.of_leaves !z_time_leaves in
-      let ts = Tree.of_leaves !z_sorted_leaves in
-      z_time_tree := Some tt;
-      z_sorted_tree := Some ts;
+      let z_tree z = Tree.of_leaf_fn n_mem (fun i -> Memcheck.encode_fp2 z.(i)) in
+      let tt = z_tree zt and ts = z_tree zs in
+      z_commit := Some ((tt, zt), (ts, zs));
       (Tree.root tt, Tree.root ts)
     in
     let t_fs = Obs.Span.start () in
@@ -151,61 +136,54 @@ let prove_result ?(params = Params.default) program (run : Machine.result) =
     in
     if t_fs <> 0 then Obs.Span.finish "zkproof.fs" t_fs;
     let { Fs.step_idx; sorted_idx; zt_idx; zs_idx; _ } = challenges in
-    let z_time_tree = Option.get !z_time_tree in
-    let z_sorted_tree = Option.get !z_sorted_tree in
-    let z_time_leaves = !z_time_leaves and z_sorted_leaves = !z_sorted_leaves in
+    let (z_time_tree, z_time), (z_sorted_tree, z_sorted) = Option.get !z_commit in
     (* Openings. *)
     let t_open = Obs.Span.start () in
+    let open_row = opener rows_tree (fun i -> Trace.encode_row rows.(i)) in
+    let open_time = opener time_tree (fun i -> Trace.encode_mem memlog.(i)) in
+    let open_sorted = opener sorted_tree (fun j -> Trace.encode_mem sorted_log.(j)) in
+    let open_jacc = opener jacc_tree (jacc_leaf jacc_heads) in
+    let open_z tree z = opener tree (fun i -> Memcheck.encode_fp2 z.(i)) in
+    let open_z_time = open_z z_time_tree z_time in
+    let open_z_sorted = open_z z_sorted_tree z_sorted in
     let steps =
       Array.map
         (fun i ->
           let row = rows.(i) in
           {
-            Receipt.row = open_at rows_tree row_leaves i;
-            next = open_at rows_tree row_leaves (i + 1);
-            mem =
-              Array.init row.Trace.mem_count (fun k ->
-                  open_at time_tree time_leaves (row.Trace.mem_pos + k));
-            jacc = open_at jacc_tree jacc_leaves i;
-            jacc_next = open_at jacc_tree jacc_leaves (i + 1);
+            Receipt.row = open_row i;
+            next = open_row (i + 1);
+            mem = Array.init row.Trace.mem_count (fun k -> open_time (row.Trace.mem_pos + k));
+            jacc = open_jacc i;
+            jacc_next = open_jacc (i + 1);
           })
         step_idx
     in
     let sorteds =
       Array.map
-        (fun j ->
-          {
-            Receipt.first = open_at sorted_tree sorted_leaves j;
-            second = open_at sorted_tree sorted_leaves (j + 1);
-          })
+        (fun j -> { Receipt.first = open_sorted j; second = open_sorted (j + 1) })
         sorted_idx
     in
-    let z_checks tree leaves log_tree log_leaves idx =
+    let z_checks open_z open_log idx =
       Array.map
         (fun j ->
-          {
-            Receipt.z = open_at tree leaves j;
-            z_next = open_at tree leaves (j + 1);
-            entry_next = open_at log_tree log_leaves (j + 1);
-          })
+          { Receipt.z = open_z j; z_next = open_z (j + 1); entry_next = open_log (j + 1) })
         idx
     in
-    let zs_time = z_checks z_time_tree z_time_leaves time_tree time_leaves zt_idx in
-    let zs_sorted =
-      z_checks z_sorted_tree z_sorted_leaves sorted_tree sorted_leaves zs_idx
-    in
+    let zs_time = z_checks open_z_time open_time zt_idx in
+    let zs_sorted = z_checks open_z_sorted open_sorted zs_idx in
     let boundary =
       {
-        Receipt.row0 = open_at rows_tree row_leaves 0;
-        last_row = open_at rows_tree row_leaves (n_rows - 1);
-        jacc0 = open_at jacc_tree jacc_leaves 0;
-        jacc_last = open_at jacc_tree jacc_leaves (n_rows - 1);
-        time0 = open_at time_tree time_leaves 0;
-        sorted0 = open_at sorted_tree sorted_leaves 0;
-        z_time0 = open_at z_time_tree z_time_leaves 0;
-        z_sorted0 = open_at z_sorted_tree z_sorted_leaves 0;
-        z_time_last = open_at z_time_tree z_time_leaves (n_mem - 1);
-        z_sorted_last = open_at z_sorted_tree z_sorted_leaves (n_mem - 1);
+        Receipt.row0 = open_row 0;
+        last_row = open_row (n_rows - 1);
+        jacc0 = open_jacc 0;
+        jacc_last = open_jacc (n_rows - 1);
+        time0 = open_time 0;
+        sorted0 = open_sorted 0;
+        z_time0 = open_z_time 0;
+        z_sorted0 = open_z_sorted 0;
+        z_time_last = open_z_time (n_mem - 1);
+        z_sorted_last = open_z_sorted (n_mem - 1);
       }
     in
     if t_open <> 0 then Obs.Span.finish "zkproof.openings" t_open;

@@ -68,6 +68,48 @@ let test_sha_digest_concat () =
   let parts = [ Bytes.of_string "ab"; Bytes.of_string "c" ] in
   check_string "concat" (sha_hex "abc") (hex (Sha256.digest_concat parts))
 
+let test_sha_finalize_into () =
+  (* Every length 0..200 crosses the 55/56 and 63/64 padding
+     boundaries of one and two blocks; the digest lands at an odd
+     offset and the bytes around it stay untouched. *)
+  let msg = Bytes.init 200 (fun i -> Char.chr ((i * 7) land 0xff)) in
+  for len = 0 to 200 do
+    let ctx = Sha256.init () in
+    Sha256.update_sub ctx msg ~pos:0 ~len;
+    let dst = Bytes.make 40 '#' in
+    Sha256.finalize_into ctx dst 5;
+    let tag = Printf.sprintf "len=%d" len in
+    check_string tag (hex (Sha256.digest_sub msg ~pos:0 ~len)) (hex (Bytes.sub dst 5 32));
+    check_string (tag ^ " prefix") "#####" (Bytes.sub_string dst 0 5);
+    check_string (tag ^ " suffix") "###" (Bytes.sub_string dst 37 3);
+    Alcotest.check_raises (tag ^ " once")
+      (Invalid_argument "Sha256: context already finalized") (fun () ->
+        Sha256.finalize_into ctx dst 0)
+  done;
+  Alcotest.check_raises "oob" (Invalid_argument "Sha256.finalize_into: out of bounds")
+    (fun () -> Sha256.finalize_into (Sha256.init ()) (Bytes.create 32) 1)
+
+let prop_hash_pairs =
+  QCheck.Test.make ~name:"hash_pairs = digest of each 64-byte pair" ~count:100
+    QCheck.(pair (int_range 0 6) (string_of_size (Gen.return (64 * 6 + 3))))
+    (fun (n, s) ->
+      let src = Bytes.of_string s in
+      let dst = Bytes.make ((32 * n) + 7) '#' in
+      Sha256.hash_pairs src ~src_off:3 dst ~dst_off:7 n;
+      Bytes.sub_string dst 0 7 = "#######"
+      && List.for_all
+           (fun i ->
+             Bytes.equal
+               (Sha256.digest_sub src ~pos:(3 + (64 * i)) ~len:64)
+               (Bytes.sub dst (7 + (32 * i)) 32))
+           (List.init n Fun.id))
+
+let test_hash_pairs_bounds () =
+  Alcotest.check_raises "src" (Invalid_argument "Sha256.hash_pairs: out of bounds")
+    (fun () -> Sha256.hash_pairs (Bytes.create 127) ~src_off:0 (Bytes.create 64) ~dst_off:0 2);
+  Alcotest.check_raises "dst" (Invalid_argument "Sha256.hash_pairs: out of bounds")
+    (fun () -> Sha256.hash_pairs (Bytes.create 128) ~src_off:0 (Bytes.create 63) ~dst_off:0 2)
+
 let prop_sha_streaming =
   QCheck.Test.make ~name:"arbitrary split = one-shot" ~count:100
     QCheck.(pair (string_of_size Gen.(0 -- 300)) small_nat)
@@ -222,7 +264,10 @@ let () =
           Alcotest.test_case "finalize once" `Quick test_sha_finalize_once;
           Alcotest.test_case "update_sub bounds" `Quick test_sha_update_sub_bounds;
           Alcotest.test_case "digest_concat" `Quick test_sha_digest_concat;
+          Alcotest.test_case "finalize_into = finalize" `Quick test_sha_finalize_into;
+          Alcotest.test_case "hash_pairs bounds" `Quick test_hash_pairs_bounds;
           q prop_sha_streaming;
+          q prop_hash_pairs;
         ] );
       ( "hmac",
         [

@@ -47,15 +47,6 @@ let test_tree_two_leaf_root_is_combine () =
   let expected = D.combine (Tree.leaf_hash l.(0)) (Tree.leaf_hash l.(1)) in
   Alcotest.check digest "combine rule" expected (Tree.root (Tree.of_leaves l))
 
-let test_tree_root_of_leaf_hashes_agrees () =
-  for n = 1 to 17 do
-    let hs = Array.map Tree.leaf_hash (leaves n) in
-    Alcotest.check digest
-      (Printf.sprintf "n=%d" n)
-      (Tree.root (Tree.of_leaf_hashes hs))
-      (Tree.root_of_leaf_hashes hs)
-  done
-
 let test_tree_leaf_accessor () =
   let t = Tree.of_leaves (leaves 3) in
   Alcotest.check digest "leaf 0" (Tree.leaf_hash (Bytes.of_string "leaf-0")) (Tree.leaf t 0);
@@ -447,6 +438,153 @@ let prop_incr_random_ops =
       !ok
       && D.equal (Tree.root (Tree.of_leaf_hashes !model)) (Incremental.root inc))
 
+(* ---- reference root ----
+
+   A naive recursive root straight from PROTOCOL §1.4: leaf hash
+   SHA256("zkflow.lf.v1" ‖ data), padding to the next power of two with
+   SHA256("zkflow.empty-leaf"), inner node SHA256(left ‖ right) — and
+   every padding node hashed explicitly, nothing precomputed. Every
+   build path must reproduce it bit for bit. *)
+
+let ref_leaf data =
+  D.of_bytes (Zkflow_hash.Sha256.digest_concat [ Bytes.of_string "zkflow.lf.v1"; data ])
+
+let ref_empty = D.hash_string "zkflow.empty-leaf"
+
+let ref_padded n =
+  let rec go k = if k >= n then k else go (2 * k) in
+  go 1
+
+(* Root of the width-[w] subtree whose leftmost leaf is [lo]. *)
+let rec ref_node hs lo w =
+  if w = 1 then if lo < Array.length hs then hs.(lo) else ref_empty
+  else D.combine (ref_node hs lo (w / 2)) (ref_node hs (lo + (w / 2)) (w / 2))
+
+let reference_root hs = ref_node hs 0 (ref_padded (Array.length hs))
+
+let reference_sizes =
+  [ 0; 1; 2; 3 ]
+  @ List.concat_map (fun k -> [ (1 lsl k) - 1; 1 lsl k; (1 lsl k) + 1 ]) [ 2; 3; 4; 5; 6; 7; 10 ]
+
+(* Every build path over the same leaves: bytes, leaf function, leaf
+   hashes, a permutation of a reversed tree, and incremental appends. *)
+let all_roots data =
+  let n = Array.length data in
+  let hs = Array.map Tree.leaf_hash data in
+  let rev = Array.init n (fun i -> data.(n - 1 - i)) in
+  let inc = Incremental.create () in
+  Array.iter (Incremental.append inc) hs;
+  [
+    ("of_leaves", Tree.root (Tree.of_leaves data));
+    ("of_leaf_fn", Tree.root (Tree.of_leaf_fn n (Array.get data)));
+    ("of_leaf_hashes", Tree.root (Tree.of_leaf_hashes hs));
+    ("permute", Tree.root (Tree.permute (Tree.of_leaves rev) (Array.init n (fun j -> n - 1 - j))));
+    ("incremental", Incremental.root inc);
+  ]
+
+let test_tree_reference_root () =
+  List.iter
+    (fun n ->
+      let data = leaves n in
+      let expect = reference_root (Array.map ref_leaf data) in
+      List.iter
+        (fun (path, got) -> Alcotest.check digest (Printf.sprintf "n=%d %s" n path) expect got)
+        (all_roots data))
+    reference_sizes
+
+let test_tree_reference_nodes () =
+  (* Not just the root: every slot of every level, padding included,
+     equals the naive subtree root — so snapshots and paths are
+     bit-identical too. *)
+  for n = 0 to 69 do
+    let hs = Array.map ref_leaf (leaves n) in
+    let t = Tree.of_leaves (leaves n) in
+    for level = 0 to Tree.depth t do
+      let w = 1 lsl level in
+      for i = 0 to (ref_padded n / w) - 1 do
+        Alcotest.check digest
+          (Printf.sprintf "n=%d level=%d i=%d" n level i)
+          (ref_node hs (i * w) w) (Tree.node t ~level i)
+      done
+    done
+  done
+
+let test_tree_permute () =
+  let data = leaves 11 in
+  let t = Tree.of_leaves data in
+  let perm = [| 3; 3; 10; 0 |] in
+  Alcotest.check digest "picked leaves"
+    (Tree.root (Tree.of_leaves (Array.map (Array.get data) perm)))
+    (Tree.root (Tree.permute t perm));
+  Alcotest.check_raises "oob" (Invalid_argument "Tree.permute: index out of range")
+    (fun () -> ignore (Tree.permute t [| 11 |]))
+
+let test_tree_prover_shares () =
+  let t = Tree.of_leaves (leaves 20) in
+  let prove = Tree.prover t in
+  let p4 = prove 4 and p5 = prove 5 and p12 = prove 12 in
+  List.iter
+    (fun (i, p) ->
+      check_bool (Printf.sprintf "verifies %d" i) true
+        (Proof.verify ~root:(Tree.root t) ~leaf_hash:(Tree.leaf t i) p);
+      check_bool (Printf.sprintf "same encoding as prove %d" i) true
+        (Bytes.equal (Proof.encode p) (Proof.encode (Tree.prove t i))))
+    [ (4, p4); (5, p5); (12, p12) ];
+  (* 4 and 5 are siblings: every level above the leaves is one node. *)
+  for level = 1 to Tree.depth t - 1 do
+    check_bool (Printf.sprintf "level %d shared" level) true
+      (p4.Proof.siblings.(level) == p5.Proof.siblings.(level))
+  done;
+  (* 4 and 12 sit in the same half: their top sibling is one node. *)
+  check_bool "top level shared across the tree" true
+    (p4.Proof.siblings.(Tree.depth t - 1) == p12.Proof.siblings.(Tree.depth t - 1))
+
+(* Exact work of a build over [n] real leaves: the leaves, then
+   ceil(r/2) parents per level while r > 1 real nodes remain — never
+   the all-padding parents. *)
+let interior_nodes n =
+  let rec go r acc = if r <= 1 then acc else go ((r + 1) / 2) (acc + ((r + 1) / 2)) in
+  go n 0
+
+let test_tree_exact_counts () =
+  let nodes = Zkflow_obs.Metric.counter "merkle.nodes_hashed" in
+  let blocks = Zkflow_obs.Metric.counter "sha256.compressions" in
+  let measure f =
+    let n0 = Zkflow_obs.Metric.value nodes and b0 = Zkflow_obs.Metric.value blocks in
+    ignore (f ());
+    (Zkflow_obs.Metric.value nodes - n0, Zkflow_obs.Metric.value blocks - b0)
+  in
+  Zkflow_obs.Obs.with_enabled (fun () ->
+      List.iter
+        (fun n ->
+          let data = leaves n in
+          let hs = Array.map Tree.leaf_hash data in
+          let interior = interior_nodes n in
+          (* one leaf is 12 tag bytes + payload + 9 bytes of padding *)
+          let leaf_blocks =
+            Array.fold_left (fun acc d -> acc + ((12 + Bytes.length d + 9 + 63) / 64)) 0 data
+          in
+          let tag what = Printf.sprintf "n=%d %s" n what in
+          let nd, bl = measure (fun () -> Tree.of_leaves data) in
+          check_int (tag "of_leaves nodes") (n + interior) nd;
+          check_int (tag "of_leaves compressions") (leaf_blocks + (2 * interior)) bl;
+          let nd, bl = measure (fun () -> Tree.of_leaf_hashes hs) in
+          check_int (tag "of_leaf_hashes nodes") interior nd;
+          check_int (tag "of_leaf_hashes compressions") (2 * interior) bl)
+        (reference_sizes @ [ 34146 ]));
+  (* The backfill memory-log size: 34146 leaves pad to 65536, and the
+     build hashes 34155 parents instead of 65535. *)
+  check_int "34146 interior" 34155 (interior_nodes 34146)
+
+let prop_tree_reference_root =
+  QCheck.Test.make ~name:"every build path = reference root" ~count:40
+    QCheck.(pair (int_range 0 300) (int_range 0 100_000))
+    (fun (n, seed) ->
+      let rng = Zkflow_util.Rng.create (Int64.of_int seed) in
+      let data = Array.init n (fun _ -> Zkflow_util.Rng.bytes rng (Zkflow_util.Rng.int rng 90)) in
+      let expect = reference_root (Array.map ref_leaf data) in
+      List.for_all (fun (_, got) -> D.equal expect got) (all_roots data))
+
 let () =
   let q = QCheck_alcotest.to_alcotest in
   Alcotest.run "zkflow_merkle"
@@ -459,7 +597,12 @@ let () =
           Alcotest.test_case "sizes and depth" `Quick test_tree_sizes_and_depth;
           Alcotest.test_case "padding" `Quick test_tree_padding_distinguishes_sizes;
           Alcotest.test_case "two-leaf combine" `Quick test_tree_two_leaf_root_is_combine;
-          Alcotest.test_case "root_of_leaf_hashes" `Quick test_tree_root_of_leaf_hashes_agrees;
+          Alcotest.test_case "reference root" `Quick test_tree_reference_root;
+          Alcotest.test_case "reference nodes" `Quick test_tree_reference_nodes;
+          Alcotest.test_case "permute" `Quick test_tree_permute;
+          Alcotest.test_case "prover shares siblings" `Quick test_tree_prover_shares;
+          Alcotest.test_case "exact node counts" `Quick test_tree_exact_counts;
+          q prop_tree_reference_root;
           Alcotest.test_case "leaf accessor" `Quick test_tree_leaf_accessor;
         ] );
       ( "proof",

@@ -159,7 +159,11 @@ let test_tree_roots_match_sequential () =
       let hs = Array.map Tree.leaf_hash data in
       let base_tree = with_jobs 1 (fun () -> Tree.root (Tree.of_leaf_hashes hs)) in
       let base_leaves = with_jobs 1 (fun () -> Tree.root (Tree.of_leaves data)) in
-      let base_fast = with_jobs 1 (fun () -> Tree.root_of_leaf_hashes hs) in
+      let base_fn = with_jobs 1 (fun () -> Tree.root (Tree.of_leaf_fn n (Array.get data))) in
+      let ident = Array.init n Fun.id in
+      let base_perm =
+        with_jobs 1 (fun () -> Tree.root (Tree.permute (Tree.of_leaf_hashes hs) ident))
+      in
       List.iter
         (fun j ->
           with_jobs j (fun () ->
@@ -168,8 +172,10 @@ let test_tree_roots_match_sequential () =
                 (Tree.root (Tree.of_leaf_hashes hs));
               Alcotest.check digest (tag "of_leaves") base_leaves
                 (Tree.root (Tree.of_leaves data));
-              Alcotest.check digest (tag "root_of_leaf_hashes") base_fast
-                (Tree.root_of_leaf_hashes hs)))
+              Alcotest.check digest (tag "of_leaf_fn") base_fn
+                (Tree.root (Tree.of_leaf_fn n (Array.get data)));
+              Alcotest.check digest (tag "permute") base_perm
+                (Tree.root (Tree.permute (Tree.of_leaf_hashes hs) ident))))
         job_sweep)
     tree_sizes
 

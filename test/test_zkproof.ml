@@ -52,6 +52,17 @@ let test_prove_verify_roundtrip () =
    | Error e -> Alcotest.fail ("verify failed: " ^ e));
   check_bool "check" true (Verify.check ~program:demo_guest receipt)
 
+(* Receipts must stay bit-identical as the prover's hashing changes:
+   the SHA-256 of the encoded demo receipt, captured before Merkle
+   builds started skipping all-padding subtrees. *)
+let test_receipt_golden () =
+  let receipt, _ = prove_demo () in
+  let enc = Receipt.encode receipt in
+  check_int "encoded length" 212639 (Bytes.length enc);
+  Alcotest.(check string)
+    "receipt sha256" "d9e09979484fbcd4f30d8d761b797165d48bc6ee0cec9aa9147b5e5cf56e7cba"
+    (Zkflow_util.Hexcodec.encode (Zkflow_hash.Sha256.digest enc))
+
 let test_commit_cache_reprove_identical () =
   (* Re-proving the same traced run must hit the phase-1 commitment
      cache and still produce a byte-identical receipt; a different run
@@ -468,6 +479,7 @@ let () =
           Alcotest.test_case "params respected" `Quick test_params_respected;
           Alcotest.test_case "fewer queries, smaller seal" `Quick test_seal_smaller_with_fewer_queries;
           Alcotest.test_case "commit cache re-prove" `Quick test_commit_cache_reprove_identical;
+          Alcotest.test_case "golden receipt digest" `Quick test_receipt_golden;
         ] );
       ( "rejection",
         [
