@@ -164,13 +164,13 @@ report: matrix
 	@echo "report: wrote REPORT.md and report.json"
 
 # Deterministic fault-injection matrix: 8 seeded random plans plus the
-# curated ones under chaos/plans/ (the daemon-* plans are dispatched
-# with --daemon, aiming the same kills and corruption at the resident
-# daemon's bounded-ingest pipeline, plus exact-shed overload bursts).
-# Every run must end verified — either
+# curated ones under chaos/plans/, each aimed at the resident daemon's
+# bounded-ingest pipeline (kills, checkpoint corruption, exact-shed
+# overload bursts). Every run must end verified — either
 # complete or explicitly degraded (safety: the final root is
 # bit-identical to an uninterrupted twin; liveness: any open gap names
-# a destroyed export). Per-plan artifacts land in chaos-out/<plan>/:
+# a destroyed export) — and every injected fault must trip its SLO
+# while the twin trips none it should not. Per-plan artifacts land in chaos-out/<plan>/:
 # the flight-recorder event log, the machine-readable report, and the
 # strict health verdict (advisory — plans that inject board rejects or
 # unhealable drops degrade health by design, which is what the
@@ -187,8 +187,7 @@ chaos: build
 	done
 	for plan in chaos/plans/*.json; do \
 	  name=$$(basename $$plan .json); \
-	  mode=""; case $$name in daemon-*) mode="--daemon";; esac; \
-	  dune exec bin/zkflow.exe -- chaos --plan $$plan $$mode \
+	  dune exec bin/zkflow.exe -- chaos --plan $$plan \
 	    --dir chaos-out/$$name --json \
 	    > chaos-out/$$name-report.json || exit 1; \
 	  dune exec bin/zkflow.exe -- monitor --dir chaos-out/$$name --strict \

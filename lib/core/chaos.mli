@@ -4,12 +4,21 @@
 
     The harness runs the same deterministic traffic twice. First the
     {e twin}: data faults only (drops, delays, duplicates — they shape
-    what is available to aggregate), no crashes, no corruption, its
+    what is available to aggregate), no crashes, no corruption, a bare
+    {!Prover_service} aggregating every epoch and healing once, its
     flight-recorder events captured in isolation ({!Zkflow_obs.Event.isolate})
-    so they never pollute the chaos run's log. Then the {e chaos run}: same data faults plus the
-    plan's armed crash sites, flaky reads and storage corruption, with
-    the prover checkpointing to [dir/checkpoints.wal] and a
-    kill/restart loop playing the process dying at every armed site.
+    so they never pollute the chaos run's log. Then the {e chaos run}:
+    same data faults plus the plan's armed crash sites, flaky reads and
+    storage corruption, aimed at the resident {!Daemon} (the pipeline
+    [zkflow serve] runs). Windows flow through its bounded ingest
+    queue; the harness publishes on the routers' behalf with the twin's
+    walks; every death — a worker crash site or a harness-side
+    ["board.publish"] — goes through the supervised {!Daemon.restart}
+    path, with at most one storage fault corrupting the checkpoint WAL
+    between death and resume. A [Flood] entry in the plan adds an
+    overload burst against a parked throwaway daemon with a tiny
+    queue: everything past capacity must shed explicitly
+    ([daemon.ingest.shed]), and the shed count is exact.
 
     Two properties are asserted, and reported per run:
 
@@ -65,43 +74,6 @@ type report = {
   twin_slo_ok : bool;
       (** the twin fired nothing beyond its shared data-fault SLOs —
           in particular never [prover-restarts] *)
-}
-
-val run :
-  ?dir:string ->
-  ?config:config ->
-  plan:Zkflow_fault.Fault.plan ->
-  unit ->
-  (report, string) result
-(** Execute one chaos cycle. [?dir] (default: a fresh temp directory)
-    receives [rlogs.wal] and [checkpoints.wal]; an existing
-    [checkpoints.wal] there is removed first so every run starts
-    cold. [Error _] means the harness itself could not complete (e.g.
-    the restart budget was exhausted, or the board accepted a
-    duplicate) — fault-induced degradation is {e not} an error, it is
-    a [Degraded] report. *)
-
-val status_string : status -> string
-val to_json : report -> Zkflow_util.Jsonx.t
-val pp : Format.formatter -> report -> unit
-
-(** {2 Daemon-mode chaos}
-
-    The same twin-run discipline aimed at the resident {!Daemon}: the
-    daemon runs with publication off while the harness plays the
-    routers against the board with the batch walks, so every data
-    fault keeps its batch semantics and the final root stays
-    comparable to the {e batch} twin over the same records. Worker
-    deaths (crash sites inside rounds/checkpoints) and harness-side
-    deaths (["board.publish"]) both go through the supervised
-    {!Daemon.restart} path, with storage faults corrupting the
-    checkpoint WAL between death and resume. A [Flood] entry in the
-    plan adds an overload burst against a parked throwaway daemon
-    with a tiny queue: everything past capacity must shed explicitly
-    ([daemon.ingest.shed]), and the shed count is exact. *)
-
-type daemon_report = {
-  base : report;        (** twin/safety/liveness/SLO verdicts, as {!run} *)
   submitted : int;      (** window exports the harness offered *)
   accepted : int;       (** admitted by the bounded queue *)
   shed : int;           (** rejected-newest (flood phase included) *)
@@ -115,15 +87,28 @@ type daemon_report = {
           own coverage verifies *)
 }
 
-val run_daemon :
+val run :
   ?dir:string ->
   ?config:config ->
   plan:Zkflow_fault.Fault.plan ->
   unit ->
-  (daemon_report, string) result
-(** One daemon-mode chaos cycle: simulate → batch twin → resident
-    daemon under the plan's kills/corruption → flood burst (if
-    planned) → verify. Same artifact layout as {!run}. *)
+  (report, string) result
+(** Execute one chaos cycle. [?dir] (default: a fresh temp directory)
+    receives [rlogs.wal] and [checkpoints.wal] (plus
+    [flood-checkpoints.wal] under a [Flood]) and, at the end, the
+    public [board.txt] and the saved [service.bin]; an existing
+    [checkpoints.wal] there is removed first so every run starts
+    cold. [Error _] means the harness itself could not complete (e.g.
+    the restart budget was exhausted, or the board accepted a
+    duplicate) — fault-induced degradation is {e not} an error, it is
+    a [Degraded] report. *)
 
-val daemon_to_json : daemon_report -> Zkflow_util.Jsonx.t
-val pp_daemon : Format.formatter -> daemon_report -> unit
+val status_string : status -> string
+
+val violations : report -> string list
+(** The verdicts a run failed, each named: [safety], [liveness],
+    [bounded-ingest shedding], a missed SLO (one [slo_expected] did
+    not fire) or a spurious twin SLO. Empty for a passing run. *)
+
+val to_json : report -> Zkflow_util.Jsonx.t
+val pp : Format.formatter -> report -> unit

@@ -307,7 +307,14 @@ let note_gap t ~router_id ~epoch =
    A heal round marks its gaps healed {e inside its own checkpoint
    row}: if the marking were deferred to the next row, a crash right
    after the heal round would resume with the gaps still open and
-   re-heal them — aggregating the same records twice. *)
+   re-heal them — aggregating the same records twice.
+
+   The gap events go out {e before} that row is appended. Emitted
+   after it, a crash between the sync and the emit would persist the
+   journal change and lose its event for good ([resume] emits none).
+   Emitted before it, a crash re-proves the round and emits them
+   again: at-least-once, and the duplicate is harmless because the
+   monitor keys gaps by (router, epoch) and applies a heal once. *)
 let prove_and_commit t ~epoch ~routers ~absent ~heal batches =
   let round_ix = List.length t.rounds_rev in
   Fault.crashpoint "agg.pre_prove";
@@ -336,17 +343,17 @@ let prove_and_commit t ~epoch ~routers ~absent ~heal batches =
   in
   let gaps' = base_gaps @ new_gaps in
   Fault.crashpoint "agg.pre_checkpoint";
+  let gap_event kind router_id =
+    Obs.Event.emit ~router:router_id ~epoch ~round:round_ix ~track:"prover" kind
+  in
+  List.iter (fun (g : gap) -> gap_event "prover.gap.open" g.router_id) new_gaps;
+  if heal then List.iter (gap_event "prover.gap.heal") routers;
   checkpoint_append t ~cov ~gaps:gaps' round;
   Fault.crashpoint "agg.post_checkpoint";
   t.clog <- round.Aggregate.clog;
   t.rounds_rev <- round :: t.rounds_rev;
   t.coverage_rev <- cov :: t.coverage_rev;
   t.gaps <- gaps';
-  List.iter
-    (fun (g : gap) ->
-      Obs.Event.emit ~router:g.router_id ~epoch ~round:round_ix ~track:"prover"
-        "prover.gap.open")
-    new_gaps;
   Ok (round, new_gaps)
 
 (* The per-round latency histograms the time-series sampler snapshots:
@@ -524,11 +531,6 @@ let heal t =
           ~attrs:[ ("detail", Jsonx.Str e) ];
         Error e
       | Ok round ->
-        List.iter
-          (fun router_id ->
-            Obs.Event.emit ~router:router_id ~epoch ~round:round_ix ~track:"prover"
-              "prover.gap.heal")
-          routers;
         round_done_event t ~epoch ~round_ix ~covered:(List.length routers)
           ~missing:0 ~heal:true round;
         go (round :: acc) rest)

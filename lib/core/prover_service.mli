@@ -101,7 +101,11 @@ val aggregate_available : t -> epoch:int -> (outcome, string) result
 val heal : t -> (Aggregate.round list, string) result
 (** One catch-up round per epoch (ascending) for every open gap whose
     commitment has since appeared on the board; each folded-in gap is
-    marked with its heal round. Gaps still missing stay open. *)
+    marked with its heal round. Gaps still missing stay open.
+    Gap events ([prover.gap.open] from any aggregation,
+    [prover.gap.heal] from this) are emitted before the round's
+    checkpoint row, so a crash can duplicate them but never lose
+    them. *)
 
 val heal_pending : t -> bool
 (** Some open gap is healable right now. *)

@@ -99,6 +99,19 @@ type covered_round = {
   receipt : Receipt.t;
 }
 
+let covered_rounds service =
+  List.map2
+    (fun (c : Prover_service.coverage) (r : Aggregate.round) ->
+      {
+        epoch = c.Prover_service.epoch;
+        routers = c.Prover_service.routers;
+        degraded = c.Prover_service.degraded;
+        heal = c.Prover_service.heal;
+        receipt = r.Aggregate.receipt;
+      })
+    (Prover_service.coverage service)
+    (Prover_service.rounds service)
+
 type coverage_report = {
   final_root : D.t;
   round_count : int;

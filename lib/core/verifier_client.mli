@@ -58,6 +58,10 @@ type covered_round = {
     operator: the receipt plus its coverage claim
     (cf. {!Prover_service.coverage}). *)
 
+val covered_rounds : Prover_service.t -> covered_round list
+(** The service's whole history in that form: each round's receipt
+    paired with its coverage record, oldest first. *)
+
 type coverage_report = {
   final_root : Zkflow_hash.Digest32.t;
   round_count : int;

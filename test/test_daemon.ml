@@ -77,25 +77,12 @@ let fresh_daemon ?(config = cfg) ?paused ~ckpt () =
   | Error e -> Alcotest.fail ("daemon create: " ^ e)
   | Ok (d, restored) -> (d, db, board, restored)
 
-let covered_rounds service =
-  List.map2
-    (fun (c : Prover_service.coverage) (r : Aggregate.round) ->
-      {
-        Verifier_client.epoch = c.Prover_service.epoch;
-        routers = c.Prover_service.routers;
-        degraded = c.Prover_service.degraded;
-        heal = c.Prover_service.heal;
-        receipt = r.Aggregate.receipt;
-      })
-    (Prover_service.coverage service)
-    (Prover_service.rounds service)
-
 let check_verified ?(complete = true) d board =
   let service = Daemon.service d in
   match
     Verifier_client.verify_coverage ~board
       ~gaps:(Prover_service.open_gaps service)
-      (covered_rounds service)
+      (Verifier_client.covered_rounds service)
   with
   | Error e -> Alcotest.fail ("coverage rejected: " ^ e)
   | Ok report ->

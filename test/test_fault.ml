@@ -3,7 +3,7 @@
    site (final root bit-identical to the uninterrupted twin — the
    ISSUE's acceptance assertion), storage corruption recovery,
    degraded rounds with gap journal + heal, coverage verification, and
-   one full Chaos.run cycle. *)
+   full Chaos.run cycles against the resident daemon. *)
 
 module D = Zkflow_hash.Digest32
 module Record = Zkflow_netflow.Record
@@ -410,19 +410,6 @@ let degraded_world () =
 let publish_router board db ~router_id ~epoch =
   Result.get_ok (Board.publish board (Db.window db ~router_id ~epoch) ~router_id ~epoch)
 
-let covered_rounds service =
-  List.map2
-    (fun (c : Prover_service.coverage) (r : Aggregate.round) ->
-      {
-        Verifier_client.epoch = c.Prover_service.epoch;
-        routers = c.Prover_service.routers;
-        degraded = c.Prover_service.degraded;
-        heal = c.Prover_service.heal;
-        receipt = r.Aggregate.receipt;
-      })
-    (Prover_service.coverage service)
-    (Prover_service.rounds service)
-
 let test_degraded_round_then_heal () =
   let db, board, service = degraded_world () in
   (* router 2 is late: only 0 and 1 made the deadline *)
@@ -458,7 +445,10 @@ let test_degraded_round_then_heal () =
        c1.Prover_service.routers
    | _ -> Alcotest.fail "expected two coverage entries");
   (* the whole degraded-then-healed history verifies from public data *)
-  match Verifier_client.verify_coverage ~board ~gaps:[] (covered_rounds service) with
+  match
+    Verifier_client.verify_coverage ~board ~gaps:[]
+      (Verifier_client.covered_rounds service)
+  with
   | Error e -> Alcotest.fail e
   | Ok report ->
     check_bool "complete" true report.Verifier_client.complete;
@@ -486,13 +476,17 @@ let test_coverage_rejects_silent_loss () =
   (* router 2's commitment appears on the board but the history neither
      covers it nor declares the gap: silent loss, rejected *)
   ignore (publish_router board db ~router_id:2 ~epoch:0);
-  (match Verifier_client.verify_coverage ~board ~gaps:[] (covered_rounds service) with
+  (match
+     Verifier_client.verify_coverage ~board ~gaps:[]
+       (Verifier_client.covered_rounds service)
+   with
    | Ok _ -> Alcotest.fail "silent loss accepted"
    | Error e ->
      check_bool "names the loss" true (contains ~needle:"neither covered" e));
   (* declaring it as an open gap makes the same history acceptable *)
   match
-    Verifier_client.verify_coverage ~board ~gaps:[ (2, 0) ] (covered_rounds service)
+    Verifier_client.verify_coverage ~board ~gaps:[ (2, 0) ]
+      (Verifier_client.covered_rounds service)
   with
   | Ok report -> check_bool "incomplete but verified" false report.Verifier_client.complete
   | Error e -> Alcotest.fail e
@@ -508,7 +502,7 @@ let test_coverage_rejects_gap_covered_overlap () =
   match
     Verifier_client.verify_coverage ~board
       ~gaps:[ (0, 0); (2, 0) ]
-      (covered_rounds service)
+      (Verifier_client.covered_rounds service)
   with
   | Ok _ -> Alcotest.fail "contradictory claim accepted"
   | Error _ -> ()
@@ -612,10 +606,10 @@ let test_chaos_run_dropped_export_degrades_explicitly () =
     check_string "root still bit-identical to twin" r.Chaos.twin_root r.Chaos.final_root
 
 let test_chaos_daemon_twin () =
-  (* Daemon-mode chaos: worker kills, a harness-side publish kill, a
-     held export healed during the drain, and an overload burst — the
-     resident daemon's final root must still be bit-identical to the
-     uninterrupted *batch* twin over the same records. *)
+  (* Worker kills, a harness-side publish kill, a held export healed
+     during the drain, and an overload burst — the resident daemon's
+     final root must still be bit-identical to the uninterrupted twin
+     over the same records. *)
   let p =
     plan ~seed:5 ~name:"daemon-storm"
       [
@@ -625,22 +619,93 @@ let test_chaos_daemon_twin () =
         Fault.Flood { windows = 6; capacity = 3 };
       ]
   in
-  match Chaos.run_daemon ~dir:(fresh_dir ()) ~config:chaos_config ~plan:p () with
+  match Chaos.run ~dir:(fresh_dir ()) ~config:chaos_config ~plan:p () with
   | Error e -> Alcotest.fail e
   | Ok r ->
-    let b = r.Chaos.base in
-    check_bool "crashed at both kill sites" true (b.Chaos.crashes >= 2);
-    check_bool "resumed" true (b.Chaos.resumes >= 1);
-    check_bool "safety" true b.Chaos.safety_ok;
-    check_bool "liveness" true b.Chaos.liveness_ok;
-    check_string "root bit-identical to batch twin" b.Chaos.twin_root
-      b.Chaos.final_root;
-    check_bool "held export healed" true (b.Chaos.heal_rounds >= 1);
-    check_bool "complete after heal" true (b.Chaos.status = Chaos.Complete);
-    check_bool "every window admitted" true (r.Chaos.accepted >= r.Chaos.submitted - r.Chaos.duplicates && r.Chaos.submitted > 0);
+    check_bool "crashed at both kill sites" true (r.Chaos.crashes >= 2);
+    check_bool "resumed" true (r.Chaos.resumes >= 1);
+    check_bool "safety" true r.Chaos.safety_ok;
+    check_bool "liveness" true r.Chaos.liveness_ok;
+    check_string "root bit-identical to twin" r.Chaos.twin_root r.Chaos.final_root;
+    check_bool "held export healed" true (r.Chaos.heal_rounds >= 1);
+    check_bool "complete after heal" true (r.Chaos.status = Chaos.Complete);
+    check_bool "every window admitted" true
+      (r.Chaos.accepted >= r.Chaos.submitted - r.Chaos.duplicates && r.Chaos.submitted > 0);
     check_bool "drained" true (r.Chaos.drains >= 1);
     check_int "flood shed exactly past capacity" 3 r.Chaos.flood_shed;
     check_bool "flood verdict" true r.Chaos.flood_ok
+
+(* A crash right after a round's checkpoint row is synced must not
+   lose the gap events that row made durable: the monitor, replaying
+   only the recorded events, has to list exactly the gaps (and their
+   open/healed state) the recovered prover's journal holds, and the
+   injected drop/delay has to trip the coverage objective. *)
+let check_gap_events_survive ?config p =
+  let dir = fresh_dir () in
+  Zkflow_obs.Obs.reset ();
+  Zkflow_obs.Obs.enable ();
+  let result, events =
+    Fun.protect
+      ~finally:(fun () -> Zkflow_obs.Obs.disable ())
+      (fun () ->
+        let r = Chaos.run ~dir ?config ~plan:p () in
+        (r, Zkflow_obs.Event.events ()))
+  in
+  Zkflow_obs.Obs.reset ();
+  match result with
+  | Error e -> Alcotest.fail e
+  | Ok r ->
+    check_bool "crashed after the checkpoint" true (r.Chaos.crashes >= 1);
+    check_bool "safety" true r.Chaos.safety_ok;
+    check_bool "liveness" true r.Chaos.liveness_ok;
+    check_bool "slo_ok (coverage fired)" true r.Chaos.slo_ok;
+    check_bool "twin_slo_ok" true r.Chaos.twin_slo_ok;
+    let saved =
+      In_channel.with_open_bin (Filename.concat dir "service.bin") In_channel.input_all
+    in
+    let service =
+      match
+        Prover_service.load ~proof_params:params
+          ~db:(Db.create ~epoch:Zkflow_store.Epoch.default ())
+          ~board:(Board.create ()) (Bytes.of_string saved)
+      with
+      | Ok s -> s
+      | Error e -> Alcotest.fail ("service.bin: " ^ e)
+    in
+    let journal =
+      List.map
+        (fun (g : Prover_service.gap) ->
+          ( g.Prover_service.router_id,
+            g.Prover_service.epoch,
+            g.Prover_service.healed_round <> None ))
+        (Prover_service.gaps service)
+    in
+    let replayed =
+      List.map
+        (fun (g : Monitor.gap_status) ->
+          (g.Monitor.gap_router, g.Monitor.gap_epoch, g.Monitor.healed_round <> None))
+        (Monitor.build events).Monitor.gaps
+    in
+    let sorted = List.sort compare in
+    check_bool "journal has gaps" true (journal <> []);
+    Alcotest.(check (list (triple int int bool)))
+      "monitor gaps = prover journal" (sorted journal) (sorted replayed)
+
+let test_chaos_drop_then_post_checkpoint_crash () =
+  check_gap_events_survive
+    (plan ~seed:5 ~name:"drop-post-checkpoint"
+       [
+         Fault.Crash_at { site = "agg.post_checkpoint"; hits = 1 };
+         Fault.Drop { router = 0; epoch = 0 };
+       ])
+
+let test_chaos_heal_then_post_checkpoint_crash () =
+  check_gap_events_survive ~config:chaos_config
+    (plan ~seed:1 ~name:"delay-post-checkpoint"
+       [
+         Fault.Delay { router = 1; epoch = 0 };
+         Fault.Crash_at { site = "agg.post_checkpoint"; hits = 3 };
+       ])
 
 let () =
   Alcotest.run "zkflow_fault"
@@ -701,5 +766,9 @@ let () =
             test_chaos_run_dropped_export_degrades_explicitly;
           Alcotest.test_case "daemon-mode: kills + held export + flood" `Slow
             test_chaos_daemon_twin;
+          Alcotest.test_case "drop, crash after checkpoint: gap event kept" `Slow
+            test_chaos_drop_then_post_checkpoint_crash;
+          Alcotest.test_case "heal, crash after checkpoint: heal event kept" `Slow
+            test_chaos_heal_then_post_checkpoint_crash;
         ] );
     ]
